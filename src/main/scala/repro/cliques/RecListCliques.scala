@@ -10,6 +10,11 @@ import repro.par.Par
   * each vertex added to the clique. With an O(α)-oriented DAG this lists
   * all c-cliques in O(mα^{c−2}) work.
   *
+  * One recursion ([[rec]]) serves every use of Algorithm 1: listing and
+  * counting from root vertices ([[foreachRooted]], [[foreachClique]]) and
+  * UPDATE's extension of a peeled r-clique to s-cliques
+  * ([[foreachCompletion]]).
+  *
   * Parallelism is over root vertices ([[Par.forBlocked]]); each parallel
   * block gets its own consumer (from `consumerFactory`) and scratch
   * buffers, so consumers can accumulate thread-locally without contention.
@@ -21,31 +26,8 @@ object RecListCliques {
   /** Enumerates every k-clique of the oriented graph `dg` (k ≥ 1). */
   def foreachClique(dg: DirectedGraph, k: Int)(consumerFactory: () => Array[Int] => Unit): Unit = {
     require(k >= 1, s"clique size must be >= 1, got $k")
-    if (dg.n == 0) return
-    if (k == 1) {
-      Par.forBlocked(0, dg.n) { (lo, hi) =>
-        val f = consumerFactory()
-        val buf = new Array[Int](1)
-        var v = lo
-        while (v < hi) { buf(0) = v; f(buf); v += 1 }
-      }
-      return
-    }
-    val maxD = math.max(1, dg.maxOutDegree)
     Par.forBlocked(0, dg.n, grain = 16) { (lo, hi) =>
-      val f = consumerFactory()
-      val clique = new Array[Int](k)
-      val bufs = Array.ofDim[Int](math.max(1, k - 1), maxD)
-      var v = lo
-      while (v < hi) {
-        clique(0) = v
-        var len = 0
-        var i = dg.offsets(v)
-        val iHi = dg.offsets(v + 1)
-        while (i < iHi) { bufs(0)(len) = dg.adj(i); len += 1; i += 1 }
-        if (len >= k - 1) rec(dg, k - 1, 1, clique, bufs, 0, len, f)
-        v += 1
-      }
+      foreachRooted(dg, k, Iterator.range(lo, hi))(consumerFactory())
     }
   }
 
@@ -54,36 +36,33 @@ object RecListCliques {
     */
   def countCliques(dg: DirectedGraph, k: Int): Long = {
     val acc = new java.util.concurrent.atomic.AtomicLong(0L)
-    foreachClique(dg, k) { () => clique =>
-      acc.incrementAndGet()
-      val _ = clique
-    }
+    foreachClique(dg, k) { () => _ => acc.incrementAndGet() }
     acc.get()
   }
 
-  /** Sequentially counts the k-cliques rooted at each vertex drawn from
+  /** Sequentially enumerates the k-cliques rooted at each vertex drawn from
     * `roots` (a root's cliques are those whose orientation-minimal vertex it
-    * is). Used by the Spark fan-out, where parallelism comes from the
-    * partitioning rather than from [[repro.par.Par]].
+    * is). The Spark fan-out calls it directly, since its parallelism comes
+    * from the partitioning rather than from [[repro.par.Par]].
     */
-  def countFromRoots(dg: DirectedGraph, k: Int, roots: Iterator[Int]): Long = {
+  def foreachRooted(dg: DirectedGraph, k: Int, roots: Iterator[Int])(f: Array[Int] => Unit): Unit = {
     require(k >= 1, s"clique size must be >= 1, got $k")
-    if (k == 1) return roots.size.toLong
-    val maxD = math.max(1, dg.maxOutDegree)
     val clique = new Array[Int](k)
-    val bufs = Array.ofDim[Int](math.max(1, k - 1), maxD)
-    var total = 0L
-    val counter: Array[Int] => Unit = _ => total += 1
+    if (k == 1) {
+      while (roots.hasNext) { clique(0) = roots.next(); f(clique) }
+      return
+    }
+    val bufs = Array.ofDim[Int](k - 1, math.max(1, dg.maxOutDegree))
     while (roots.hasNext) {
       val v = roots.next()
       clique(0) = v
-      var len = 0
-      var i = dg.offsets(v)
-      val iHi = dg.offsets(v + 1)
-      while (i < iHi) { bufs(0)(len) = dg.adj(i); len += 1; i += 1 }
-      if (len >= k - 1) rec(dg, k - 1, 1, clique, bufs, 0, len, counter)
+      val lo = dg.offsets(v)
+      val len = dg.offsets(v + 1) - lo
+      if (len >= k - 1) {
+        System.arraycopy(dg.adj, lo, bufs(0), 0, len)
+        rec(dg, k - 1, 1, clique, bufs(0), len, bufs, 1, f)
+      }
     }
-    total
   }
 
   /** Enumerates cliques of size `need` (≥ 1) drawn from the sorted candidate
@@ -91,7 +70,8 @@ object RecListCliques {
     * chosen vertices to `clique(baseLen until baseLen+need)` and invoking
     * `f(clique)` for each completion. This is UPDATE's use of Algorithm 1:
     * `cand` is the intersection of the undirected neighborhoods of a peeled
-    * r-clique, and completions extend it to full s-cliques.
+    * r-clique, and completions extend it to full s-cliques. `bufs` needs
+    * `need − 1` rows of at least `candLen` entries.
     */
   def foreachCompletion(
       dg: DirectedGraph,
@@ -103,69 +83,36 @@ object RecListCliques {
       bufs: Array[Array[Int]]
   )(f: Array[Int] => Unit): Unit = {
     require(need >= 1, s"need must be >= 1, got $need")
-    if (need == 1) {
-      var i = 0
-      while (i < candLen) { clique(baseLen) = cand(i); f(clique); i += 1 }
-      return
-    }
-    var i = 0
-    while (i < candLen) {
-      val u = cand(i)
-      clique(baseLen) = u
-      val nl = dg.intersectOut(cand, candLen, u, bufs(0))
-      if (nl >= need - 1) recCompletion(dg, need - 1, baseLen + 1, clique, bufs, 0, nl, f)
-      i += 1
-    }
+    rec(dg, need, baseLen, clique, cand, candLen, bufs, 0, f)
   }
 
-  private def recCompletion(
-      dg: DirectedGraph,
-      rl: Int,
-      depth: Int,
-      clique: Array[Int],
-      bufs: Array[Array[Int]],
-      bufIdx: Int,
-      candLen: Int,
-      f: Array[Int] => Unit
-  ): Unit = {
-    val cand = bufs(bufIdx)
-    if (rl == 1) {
-      var i = 0
-      while (i < candLen) { clique(depth) = cand(i); f(clique); i += 1 }
-      return
-    }
-    var i = 0
-    while (i < candLen) {
-      val u = cand(i)
-      clique(depth) = u
-      val nl = dg.intersectOut(cand, candLen, u, bufs(bufIdx + 1))
-      if (nl >= rl - 1) recCompletion(dg, rl - 1, depth + 1, clique, bufs, bufIdx + 1, nl, f)
-      i += 1
-    }
-  }
-
+  /** Algorithm 1: extends `clique(0 until depth)` by every `rl`-clique of
+    * the candidates `cand(0 until candLen)`. Each level intersects the
+    * candidates with the chosen vertex's out-neighbors into `bufs(next)`.
+    */
   private def rec(
       dg: DirectedGraph,
       rl: Int,
       depth: Int,
       clique: Array[Int],
-      bufs: Array[Array[Int]],
-      bufIdx: Int,
+      cand: Array[Int],
       candLen: Int,
+      bufs: Array[Array[Int]],
+      next: Int,
       f: Array[Int] => Unit
   ): Unit = {
-    val cand = bufs(bufIdx)
     if (rl == 1) {
       var i = 0
       while (i < candLen) { clique(depth) = cand(i); f(clique); i += 1 }
       return
     }
+    val out = bufs(next)
     var i = 0
     while (i < candLen) {
       val u = cand(i)
       clique(depth) = u
-      val nl = dg.intersectOut(cand, candLen, u, bufs(bufIdx + 1))
-      if (nl >= rl - 1) rec(dg, rl - 1, depth + 1, clique, bufs, bufIdx + 1, nl, f)
+      val nl = dg.intersectOut(cand, candLen, u, out)
+      if (nl >= rl - 1) rec(dg, rl - 1, depth + 1, clique, out, nl, bufs, next + 1, f)
       i += 1
     }
   }
@@ -178,8 +125,9 @@ object Intersect {
 
   /** Writes the common undirected neighbors of `vs(0 until len)` into `out`
     * (sorted ascending) and returns the count. Starts from the
-    * minimum-degree member — the Lemma 4.1 accounting — and filters via
-    * galloping binary search in the others' adjacency lists.
+    * minimum-degree member — the Lemma 4.1 accounting — and keeps each of
+    * its neighbors for which a binary-search `hasEdge` succeeds on every
+    * other member.
     */
   def commonNeighbors(g: Adjacency, vs: Array[Int], len: Int, out: Array[Int]): Int = {
     require(len >= 1, "need at least one vertex")

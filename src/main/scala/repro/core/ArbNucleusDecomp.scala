@@ -81,14 +81,12 @@ final class NucleusResult(
   */
 object ArbNucleusDecomp {
 
-  def decompose(
-      g: CSRGraph,
-      r: Int,
-      s: Int,
-      config: NucleusConfig = null
-  ): NucleusResult = {
+  /** Decomposes with the paper's optimal settings, [[NucleusConfig.optimal]]. */
+  def decompose(g: CSRGraph, r: Int, s: Int): NucleusResult =
+    decompose(g, r, s, NucleusConfig.optimal(r, s, g.n))
+
+  def decompose(g: CSRGraph, r: Int, s: Int, cfg: NucleusConfig): NucleusResult = {
     require(r >= 1 && s > r, s"need 1 <= r < s, got r=$r s=$s")
-    val cfg = if (config == null) NucleusConfig.optimal(r, s, g.n) else config
 
     // --- orientation (+ optional relabeling, §5.4) -------------------------
     var t0 = System.nanoTime()

@@ -175,23 +175,6 @@ final class CliqueTable private (
 
   def count(slot: Int): Long = counts.get(slot)
   def addCount(slot: Int, delta: Long): Long = counts.addAndGet(slot, delta)
-  def setCount(slot: Int, v: Long): Unit = counts.set(slot, v)
-
-  /** Iterates occupied slots, in parallel blocks over groups. */
-  def foreachOccupiedParallel(f: Int => Unit): Unit =
-    Par.forBlocked(0, numGroups, grain = 256) { (glo, ghi) =>
-      var g = glo
-      while (g < ghi) {
-        val base = groupOffsets(g)
-        val cap = groupCaps(g)
-        var i = 0
-        while (i < cap) {
-          if ((keyAt(g, base + i) & EmptyBit) == 0L) f(base + i)
-          i += 1
-        }
-        g += 1
-      }
-    }
 
   def foreachOccupied(f: Int => Unit): Unit = {
     var g = 0
@@ -231,6 +214,40 @@ final class CliqueTable private (
 }
 
 object CliqueTable {
+
+  /** Largest last-level group capacity ([[Util.nextPow2]] stops at 2^30). */
+  private val MaxGroupCapacity = 1 << 30
+
+  /** Last-level layout of groups holding `groupCounts(g)` r-cliques each:
+    * group g gets the power of two at or above 10/7 of its count (load
+    * ≤ 0.7), plus a barrier cell when `hasBarriers`. Returns (capacities,
+    * offsets); `offsets` has a final entry, the global slot space. Fails
+    * fast when a group needs more than 2^30 cells or the slot space
+    * outgrows Int indexing.
+    */
+  private[core] def layout(groupCounts: Array[Int], hasBarriers: Boolean): (Array[Int], Array[Int]) = {
+    val numGroups = groupCounts.length
+    val caps = new Array[Int](numGroups)
+    val offsets = new Array[Int](numGroups + 1)
+    var total = 0L
+    var g = 0
+    while (g < numGroups) {
+      offsets(g) = total.toInt
+      val cnt = groupCounts(g)
+      if (cnt > 0) {
+        val want = (cnt * 10L + 6) / 7
+        require(want <= MaxGroupCapacity,
+          s"a group of $cnt r-cliques needs $want cells; a group holds at most 2^30")
+        caps(g) = Util.nextPow2(want.toInt)
+        total += caps(g) + (if (hasBarriers) 1 else 0)
+        require(total <= Int.MaxValue,
+          s"the clique table needs more than Int.MaxValue (2^31 - 1) slots after ${g + 1} groups")
+      }
+      g += 1
+    }
+    offsets(numGroups) = total.toInt
+    (caps, offsets)
+  }
 
   /** True iff `scheme` can represent r-cliques over n vertices with 64-bit
     * last-level keys (the analogue of the paper's "one-level T is
@@ -355,19 +372,8 @@ object CliqueTable {
 
     // --- last-level layout ---------------------------------------------------
     val hasBarriers = inverse == StoredPointers
-    val groupCaps = new Array[Int](numGroups)
-    val groupOffsets = new Array[Int](numGroups + 1)
-    var total = 0
-    var g = 0
-    while (g < numGroups) {
-      groupOffsets(g) = total
-      val cnt = groupCounts(g)
-      val cap = if (cnt == 0) 0 else Util.nextPow2((cnt * 10 + 6) / 7)
-      groupCaps(g) = cap
-      total += cap + (if (hasBarriers && cap > 0) 1 else 0)
-      g += 1
-    }
-    groupOffsets(numGroups) = total
+    val (groupCaps, groupOffsets) = layout(groupCounts, hasBarriers)
+    val total = groupOffsets(numGroups)
 
     val keysContig: Array[Long] = if (effContig) new Array[Long](total) else null
     val keysByGroup: Array[Array[Long]] = if (effContig) null else new Array[Array[Long]](numGroups)

@@ -3,7 +3,7 @@ package repro.sparkops
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.cliques.RecListCliques
-import repro.graph.{CSRGraph, DirectedGraph, Orientation}
+import repro.graph.{CSRGraph, Orientation}
 
 /** Spark fan-out clique counting: the oriented graph is broadcast and root
   * vertices are partitioned across tasks, each of which runs the sequential
@@ -16,33 +16,18 @@ import repro.graph.{CSRGraph, DirectedGraph, Orientation}
 object DistCliqueCount {
 
   /** Counts k-cliques of `g` with `parallelism` Spark tasks. */
-  def countCliques(
-      spark: SparkSession,
-      g: CSRGraph,
-      k: Int,
-      parallelism: Int = 0,
-      order: Orientation.Order = Orientation.Degeneracy
-  ): Long = {
-    val dg = Orientation.orient(g, order)
-    countCliquesOriented(spark, dg, k, parallelism)
-  }
-
-  def countCliquesOriented(
-      spark: SparkSession,
-      dg: DirectedGraph,
-      k: Int,
-      parallelism: Int = 0
-  ): Long = {
+  def countCliques(spark: SparkSession, g: CSRGraph, k: Int, parallelism: Int = 0): Long = {
     import spark.implicits._
-    if (dg.n == 0) return 0L
+    if (g.n == 0) return 0L
     val p = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism
-    val bc = spark.sparkContext.broadcast(dg)
+    val bc = spark.sparkContext.broadcast(Orientation.orient(g))
     val perTask: DataFrame = spark
-      .range(dg.n)
+      .range(g.n)
       .repartition(p)
       .mapPartitions { it =>
-        val roots = it.map(_.toInt)
-        Iterator.single(RecListCliques.countFromRoots(bc.value, k, roots))
+        var cnt = 0L
+        RecListCliques.foreachRooted(bc.value, k, it.map(_.toInt))(_ => cnt += 1)
+        Iterator.single(cnt)
       }
       .toDF("cnt")
     val total = perTask.agg(sum(col("cnt")).as("total")).collect()(0).getLong(0)
@@ -55,72 +40,24 @@ object DistCliqueCount {
     * cliques, then arrays are merged. Used to validate the (1,s) initial
     * counts of the decomposition.
     */
-  def perVertexCounts(
-      spark: SparkSession,
-      g: CSRGraph,
-      s: Int,
-      parallelism: Int = 0,
-      order: Orientation.Order = Orientation.Degeneracy
-  ): DataFrame = {
+  def perVertexCounts(spark: SparkSession, g: CSRGraph, s: Int, parallelism: Int = 0): DataFrame = {
     import spark.implicits._
-    val dg = Orientation.orient(g, order)
     val p = if (parallelism > 0) parallelism else spark.sparkContext.defaultParallelism
-    val bc = spark.sparkContext.broadcast(dg)
+    val bc = spark.sparkContext.broadcast(Orientation.orient(g))
     val n = g.n
     spark
       .range(n)
       .repartition(p)
       .mapPartitions { it =>
         val local = new Array[Long](n)
-        val dgv = bc.value
-        val maxD = math.max(1, dgv.maxOutDegree)
-        val clique = new Array[Int](s)
-        val bufs = Array.ofDim[Int](math.max(1, s - 1), maxD)
-        it.foreach { root =>
-          val v = root.toInt
-          if (s == 1) local(v) += 1
-          else {
-            clique(0) = v
-            var len = 0
-            var i = dgv.offsets(v)
-            while (i < dgv.offsets(v + 1)) { bufs(0)(len) = dgv.adj(i); len += 1; i += 1 }
-            if (len >= s - 1)
-              completeFrom(dgv, s - 1, 1, clique, bufs, 0, len) { cl =>
-                var j = 0
-                while (j < s) { local(cl(j)) += 1; j += 1 }
-              }
-          }
+        RecListCliques.foreachRooted(bc.value, s, it.map(_.toInt)) { cl =>
+          var j = 0
+          while (j < s) { local(cl(j)) += 1; j += 1 }
         }
         local.iterator.zipWithIndex.collect { case (c, v) if c > 0 => (v.toLong, c) }
       }
       .toDF("vertex", "count")
       .groupBy("vertex")
       .agg(sum(col("count")).as("count"))
-  }
-
-  // local recursion mirroring RecListCliques.rec (kept private there)
-  private def completeFrom(
-      dg: DirectedGraph,
-      rl: Int,
-      depth: Int,
-      clique: Array[Int],
-      bufs: Array[Array[Int]],
-      bufIdx: Int,
-      candLen: Int
-  )(f: Array[Int] => Unit): Unit = {
-    val cand = bufs(bufIdx)
-    if (rl == 1) {
-      var i = 0
-      while (i < candLen) { clique(depth) = cand(i); f(clique); i += 1 }
-      return
-    }
-    var i = 0
-    while (i < candLen) {
-      val u = cand(i)
-      clique(depth) = u
-      val nl = dg.intersectOut(cand, candLen, u, bufs(bufIdx + 1))
-      if (nl >= rl - 1) completeFrom(dg, rl - 1, depth + 1, clique, bufs, bufIdx + 1, nl)(f)
-      i += 1
-    }
   }
 }

@@ -40,13 +40,17 @@ class RecListCliquesSpec extends SparkSpec {
     }
   }
 
-  test("countFromRoots sums to total count") {
+  test("foreachRooted sums to total count") {
     val g = TestGraphs.random(50, 0.25, 5)
     val dg = Orientation.orient(g)
+    def countRooted(k: Int, roots: Range): Long = {
+      var cnt = 0L
+      RecListCliques.foreachRooted(dg, k, roots.iterator)(_ => cnt += 1)
+      cnt
+    }
     for (k <- 2 to 5) {
       val total = RecListCliques.countCliques(dg, k)
-      val split = RecListCliques.countFromRoots(dg, k, (0 until 17).iterator) +
-        RecListCliques.countFromRoots(dg, k, (17 until g.n).iterator)
+      val split = countRooted(k, 0 until 17) + countRooted(k, 17 until g.n)
       assert(split === total, s"k=$k")
     }
   }

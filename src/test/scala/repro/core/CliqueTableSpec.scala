@@ -80,6 +80,23 @@ class CliqueTableSpec extends SparkSpec {
     }
   }
 
+  test("layout sizes a 300M-clique group in Long arithmetic") {
+    // 10 * 300M overflows Int; the wrapped capacity used to be 1 (a hang)
+    val (caps, offsets) = CliqueTable.layout(Array(300000000), hasBarriers = true)
+    assert(caps.toSeq === Seq(1 << 29))
+    assert(offsets.toSeq === Seq(0, (1 << 29) + 1))
+  }
+
+  test("layout fails fast beyond 2^30 cells per group") {
+    val e = intercept[IllegalArgumentException](CliqueTable.layout(Array(800000000), hasBarriers = false))
+    assert(e.getMessage.contains("2^30"))
+  }
+
+  test("layout fails fast beyond the Int slot space") {
+    val e = intercept[IllegalArgumentException](CliqueTable.layout(Array.fill(4)(300000000), hasBarriers = true))
+    assert(e.getMessage.contains("Int.MaxValue"))
+  }
+
   test("feasibility mirrors the paper's large-r infeasibility") {
     // 2^20 vertices: 20 bits/vertex, 62-bit keys → one-level caps at r=3
     val n = 1 << 20
