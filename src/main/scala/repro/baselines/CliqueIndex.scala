@@ -12,7 +12,7 @@ import repro.graph.{CSRGraph, DirectedGraph, Orientation}
   * s-clique discoveries) rather than unrelated implementation details.
   */
 final class CliqueIndex(val g: CSRGraph, val r: Int) {
-  val dg: DirectedGraph = Orientation.orient(g, Orientation.Degeneracy)
+  val dg: DirectedGraph = Orientation.orient(g)
   val enc = new CliqueEncoding(g.n)
   require(enc.fits(r), s"CliqueIndex needs packed keys: r=$r over n=${g.n} does not fit 62 bits")
 

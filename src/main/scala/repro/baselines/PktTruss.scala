@@ -129,12 +129,14 @@ object PktTruss {
     while (settledTotal < m) {
       // seed this level's first sub-round
       val curSub = sub + 1
-      Par.forRange(0, m) { eid =>
-        if (queued.get(eid) == 0 && supp.get(eid) <= k) {
-          if (queued.compareAndSet(eid, 0, 1)) {
+      Par.forBlocked(0, m) { (elo, ehi) =>
+        var eid = elo
+        while (eid < ehi) {
+          if (queued.get(eid) == 0 && supp.get(eid) <= k && queued.compareAndSet(eid, 0, 1)) {
             stamp.set(eid, curSub)
             frontier(next.getAndIncrement()) = eid
           }
+          eid += 1
         }
       }
       var hi = next.get()

@@ -1,6 +1,6 @@
 package repro.cliques
 
-import repro.graph.{Adjacency, DirectedGraph}
+import repro.graph.{CSRGraph, DirectedGraph}
 import repro.par.Par
 
 /** Parallel c-clique listing (paper Algorithm 1, after Shi et al. [60]).
@@ -129,14 +129,17 @@ object Intersect {
     * its neighbors for which a binary-search `hasEdge` succeeds on every
     * other member.
     */
-  def commonNeighbors(g: Adjacency, vs: Array[Int], len: Int, out: Array[Int]): Int = {
+  def commonNeighbors(g: CSRGraph, vs: Array[Int], len: Int, out: Array[Int]): Int = {
     require(len >= 1, "need at least one vertex")
     var minI = 0
     var i = 1
     while (i < len) { if (g.degree(vs(i)) < g.degree(vs(minI))) minI = i; i += 1 }
     val pivot = vs(minI)
     var k = 0
-    g.foreachNeighbor(pivot) { w =>
+    var p = g.offsets(pivot)
+    val pHi = g.offsets(pivot + 1)
+    while (p < pHi) {
+      val w = g.adj(p)
       var ok = true
       var j = 0
       while (ok && j < len) {
@@ -151,6 +154,7 @@ object Intersect {
         while (t < len) { if (vs(t) == w) member = true; t += 1 }
         if (!member) { out(k) = w; k += 1 }
       }
+      p += 1
     }
     k
   }

@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.concurrent.atomic.LongAdder
 import repro.cliques.{CliqueEncoding, Intersect, RecListCliques}
-import repro.graph.{Adjacency, CSRGraph, DirectedGraph, Orientation, PeelableGraph}
+import repro.graph.{CSRGraph, DirectedGraph, GraphContraction, Orientation}
 import repro.par.Par
 
 /** Phase timings and work counters of one decomposition run. */
@@ -91,12 +91,8 @@ object ArbNucleusDecomp {
     // --- orientation (+ optional relabeling, §5.4) -------------------------
     var t0 = System.nanoTime()
     val (workGraph, dg, oldOf) =
-      if (cfg.relabel) {
-        val (rg, rdg, old) = Orientation.relabelByRank(g, cfg.order)
-        (rg, rdg, old)
-      } else {
-        (g, Orientation.orient(g, cfg.order), null: Array[Int])
-      }
+      if (cfg.relabel) Orientation.relabelByRank(g)
+      else (g, Orientation.orient(g), null: Array[Int])
     val tOrient = msSince(t0)
 
     // --- list r-cliques, sorted lexicographically --------------------------
@@ -147,9 +143,8 @@ object ArbNucleusDecomp {
     table.foreachOccupied { slot => buckets.insert(slot, table.count(slot)) }
 
     val agg = UpdateAggregator(cfg.aggregation, math.max(1, capacity))
-    val peelable: PeelableGraph =
-      if (cfg.contraction && r == 2 && s == 3) new PeelableGraph(workGraph) else null
-    val peelGraph: Adjacency = if (peelable != null) peelable else workGraph
+    val contraction: GraphContraction =
+      if (cfg.contraction && r == 2 && s == 3) new GraphContraction(workGraph) else null
 
     val maxDeg = math.max(1, workGraph.maxDegree)
     val need = s - r
@@ -176,6 +171,7 @@ object ArbNucleusDecomp {
         i = 0
         while (i < ids.length) { expected += table.count(ids(i)); i += 1 }
         agg.beginRound(expected * math.max(1, numSubsets - 1))
+        val peelGraph = if (contraction != null) contraction.graph else workGraph
 
         Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
           val vsR = new Array[Int](r)
@@ -239,7 +235,7 @@ object ArbNucleusDecomp {
           u += 1
         }
 
-        if (peelable != null) {
+        if (contraction != null) {
           val vsPair = new Array[Int](2)
           val pairs = new Array[Int](2 * ids.length)
           i = 0
@@ -250,7 +246,7 @@ object ArbNucleusDecomp {
             i += 1
           }
           // isPeeled runs from parallel filter workers — per-call scratch only
-          peelable.notePeeled(pairs, ids.length) { (a, b) =>
+          contraction.notePeeled(pairs, ids.length) { (a, b) =>
             val probe = if (a < b) Array(a, b) else Array(b, a)
             val sl = table.slotOf(probe)
             sl < 0 || peeledRound(sl) != Int.MaxValue
@@ -265,7 +261,7 @@ object ArbNucleusDecomp {
       numRCliques = numR,
       numSCliques = numS,
       updateScliqueDiscoveries = discoveries.sum(),
-      contractions = if (peelable != null) peelable.contractions else 0,
+      contractions = if (contraction != null) contraction.contractions else 0,
       tOrientMs = tOrient,
       tListMs = tList,
       tBuildMs = tBuild,

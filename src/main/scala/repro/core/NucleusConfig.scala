@@ -1,7 +1,5 @@
 package repro.core
 
-import repro.graph.Orientation
-
 /** Configuration of ARB-NUCLEUS-DECOMP's practical optimizations (§5–6.2). */
 final case class NucleusConfig(
     scheme: TableScheme = TwoLevelArray,
@@ -9,8 +7,7 @@ final case class NucleusConfig(
     inverse: InverseMapMethod = StoredPointers,
     relabel: Boolean = true,
     aggregation: UpdateAggregator.Kind = UpdateAggregator.ListBufferKind,
-    contraction: Boolean = false,
-    order: Orientation.Order = Orientation.Degeneracy
+    contraction: Boolean = false
 ) {
   def label: String = {
     val parts = Seq(

@@ -6,17 +6,10 @@ package repro.graph
   * Barenboim–Elkin. We substitute the classic degeneracy (smallest-last /
   * Matula–Beck) order, which gives the tight out-degree bound
   * `d ≤ 2α − 1` (appendix, footnote 9) — the same asymptotic guarantee the
-  * paper relies on — plus a simple non-decreasing-degree order as the cheap
-  * alternative. Orienting along either order yields a DAG whose maximum
-  * out-degree bounds the work of REC-LIST-CLIQUES.
+  * paper relies on. Orienting along it yields a DAG whose maximum
+  * out-degree, at most the degeneracy, bounds the work of REC-LIST-CLIQUES.
   */
 object Orientation {
-
-  sealed trait Order
-  /** Smallest-last (degeneracy / k-core) order; out-degree ≤ degeneracy. */
-  case object Degeneracy extends Order
-  /** Non-decreasing degree order (ties by id). */
-  case object Degree extends Order
 
   /** Computes the coreness of every vertex and a degeneracy ordering using
     * the linear-time Matula–Beck bucket peel. Returns (coreness, order)
@@ -77,13 +70,9 @@ object Orientation {
     if (core.isEmpty) 0 else core.max
   }
 
-  /** Returns rank(v) = position of v in the chosen total order. */
-  def ranks(g: CSRGraph, order: Order): Array[Int] = {
-    val perm: Array[Int] = order match {
-      case Degeneracy => coreness(g)._2
-      case Degree =>
-        (0 until g.n).toArray.sortBy(v => (g.degree(v), v))
-    }
+  /** Returns rank(v) = position of v in the degeneracy order. */
+  def ranks(g: CSRGraph): Array[Int] = {
+    val perm = coreness(g)._2
     val rank = new Array[Int](g.n)
     var i = 0
     while (i < perm.length) { rank(perm(i)) = i; i += 1 }
@@ -119,15 +108,15 @@ object Orientation {
     new DirectedGraph(offsets, adj, rank)
   }
 
-  def orient(g: CSRGraph, order: Order = Degeneracy): DirectedGraph =
-    orient(g, ranks(g, order))
+  /** Orients `g` along its degeneracy order. */
+  def orient(g: CSRGraph): DirectedGraph = orient(g, ranks(g))
 
   /** §5.4 graph relabeling: renames vertices so that id order == rank order.
     * Returns the relabeled graph, its (identity-rank) orientation, and
     * `oldOf(newId) = oldId` for translating results back.
     */
-  def relabelByRank(g: CSRGraph, order: Order = Degeneracy): (CSRGraph, DirectedGraph, Array[Int]) = {
-    val rank = ranks(g, order)
+  def relabelByRank(g: CSRGraph): (CSRGraph, DirectedGraph, Array[Int]) = {
+    val rank = ranks(g)
     val relabeled = g.relabel(rank)
     val oldOf = new Array[Int](g.n)
     var v = 0

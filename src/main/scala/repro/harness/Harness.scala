@@ -19,7 +19,7 @@ object Harness {
     Seq("amazon-lite", "dblp-lite", "youtube-lite", "skitter-lite", "livejournal-lite", "orkut-lite")
 
   def graph(spark: SparkSession, name: String): CSRGraph =
-    cache.getOrElseUpdate(name, EdgeOps.csrOf(spark, GraphGen.snapLite(spark, name)))
+    cache.getOrElseUpdate(name, EdgeOps.csrOf(GraphGen.snapLite(spark, name)))
 
   /** Registers a custom graph under `name` (tests use this to run the table
     * runners on tiny inputs).
@@ -29,7 +29,7 @@ object Harness {
   def rmatGraph(spark: SparkSession, scale: Int, edgeFactor: Int, seed: Long = 42): CSRGraph =
     cache.getOrElseUpdate(
       s"rmat-$scale-$edgeFactor-$seed",
-      EdgeOps.csrOf(spark, GraphGen.rmatEdges(spark, scale, edgeFactor, seed))
+      EdgeOps.csrOf(GraphGen.rmatEdges(spark, scale, edgeFactor, seed))
     )
 
   /** Milliseconds of `body`, best of `reps` runs (first run warms JIT). */

@@ -3,7 +3,6 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{And, AndNn, Nd, PktTruss, Pnd}
 import repro.core._
-import repro.graph.CSRGraph
 import repro.par.Par
 
 /** One runner per evaluation table (DESIGN.md "Evaluation tables
@@ -208,8 +207,11 @@ object Tables {
       val rows = names.map { name =>
         val g = graph(spark, name)
         val (arb, arbMs) = timeMs(reps = 2)(ArbNucleusDecomp.decompose(g, r, s))
+        val arbCores = arb.coreMap
+        def check(system: String, cores: Map[Seq[Int], Long]): Unit =
+          require(cores == arbCores, s"$system core numbers diverged from ARB on $name")
         val (seqRes, seqMs) = timeMs(reps = 1)(Par.withThreads(1)(ArbNucleusDecomp.decompose(g, r, s)))
-        require(seqRes.maxCore == arb.maxCore, "1-thread run diverged")
+        check("1-thread ARB", seqRes.coreMap)
         def guarded[A](body: => (A, Double)): Option[(A, Double)] =
           if (arbMs > baselineBudgetMs / 20) None // baselines ~20x slower: skip like the paper's OOM/timeouts
           else Some(body)
@@ -217,13 +219,13 @@ object Tables {
         val pnd = guarded(timeMs(1)(Pnd.run(g, r, s)))
         val and = guarded(timeMs(1)(And.run(g, r, s)))
         val andNn = guarded(timeMs(1)(AndNn.run(g, r, s)))
-        nd.foreach { case (res, _) => require(res.maxCore == arb.maxCore, s"ND diverged on $name") }
-        and.foreach { case (res, _) => require(res.maxCore == arb.maxCore, s"AND diverged on $name") }
+        for ((system, res) <- Seq("ND" -> nd, "PND" -> pnd, "AND" -> and, "AND-NN" -> andNn))
+          res.foreach(t => check(system, t._1.coreMap))
         def slow(o: Option[(_, Double)]): String = o.map(t => fmt(t._2 / arbMs) + "x").getOrElse("—")
         val pktCell =
           if (r == 2 && s == 3) {
             val (pkt, pktMs) = timeMs(2)(PktTruss.run(g))
-            require(pkt.maxCore == arb.maxCore, s"PKT diverged on $name")
+            check("PKT", pkt.coreMap)
             Seq(fmt(pktMs / arbMs) + "x")
           } else Nil
         val roundsRatio =

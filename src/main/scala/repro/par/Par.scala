@@ -10,9 +10,9 @@ import java.util.concurrent.atomic.AtomicReference
   * work-stealing scheduler. The pool parallelism is configurable so the
   * thread-scalability table (paper Fig. 14) can sweep thread counts.
   *
-  * All parallel loops in the reproduction go through [[Par.forRange]] /
-  * [[Par.forBlocked]], so a single [[Par.withThreads]] scope controls the
-  * effective parallelism of the whole decomposition.
+  * All parallel loops in the reproduction go through [[Par.forBlocked]], so
+  * a single [[Par.withThreads]] scope controls the effective parallelism of
+  * the whole decomposition.
   */
 object Par {
 
@@ -42,37 +42,8 @@ object Par {
     }
   }
 
-  private final class RangeAction(lo: Int, hi: Int, grain: Int, f: Int => Unit)
-      extends RecursiveAction {
-    override def compute(): Unit = {
-      if (hi - lo <= grain) {
-        var i = lo
-        while (i < hi) { f(i); i += 1 }
-      } else {
-        val mid   = lo + (hi - lo) / 2
-        val left  = new RangeAction(lo, mid, grain, f)
-        val right = new RangeAction(mid, hi, grain, f)
-        left.fork()
-        right.compute()
-        left.join()
-      }
-    }
-  }
-
-  /** Parallel `for (i <- lo until hi) f(i)` with work-stealing splits. */
-  def forRange(lo: Int, hi: Int, grain: Int = Grain)(f: Int => Unit): Unit = {
-    if (hi <= lo) return
-    val p = pool
-    if (p.getParallelism <= 1 || hi - lo <= grain) {
-      var i = lo
-      while (i < hi) { f(i); i += 1 }
-    } else {
-      p.invoke(new RangeAction(lo, hi, grain, f))
-    }
-  }
-
-  /** Parallel loop that hands each worker a contiguous block [blockLo,
-    * blockHi); useful when per-iteration state (scratch buffers) should be
+  /** Parallel `for (i <- lo until hi)` that hands each worker a contiguous
+    * block [blockLo, blockHi), so per-iteration state (scratch buffers) is
     * allocated once per block rather than once per element.
     */
   def forBlocked(lo: Int, hi: Int, grain: Int = Grain)(f: (Int, Int) => Unit): Unit = {

@@ -1,6 +1,6 @@
 package repro.sparkops
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 import repro.graph.CSRGraph
 
@@ -30,7 +30,9 @@ object EdgeOps {
       .groupBy("v")
       .agg(count(lit(1)).as("degree"))
 
-  /** Summary used by the Fig. 7 table: n (max id + 1) and m. */
+  /** n (max id + 1) and m of a canonical edge list, computed in Spark
+    * without collecting it.
+    */
   def sizeStats(canonical: DataFrame): (Long, Long) = {
     val row = canonical
       .agg(
@@ -42,28 +44,20 @@ object EdgeOps {
   }
 
   /** Collects a canonical edge list into an in-memory CSR graph for the
-    * shared-memory core. Vertex ids must fit in Int.
+    * shared-memory core, as packed keys `(src << 32) | dst` built in Spark.
+    * Vertex ids must fit in Int: an edge outside that range becomes the
+    * key -1, which [[CSRGraph.fromKeys]] rejects.
     */
   def toCSR(canonical: DataFrame): CSRGraph = {
-    val rows = canonical.select(col("src"), col("dst")).collect()
-    val edges = new Array[(Int, Int)](rows.length)
-    var i = 0
-    var maxId = -1
-    while (i < rows.length) {
-      val u = rows(i).getLong(0)
-      val v = rows(i).getLong(1)
-      require(u <= Int.MaxValue && v <= Int.MaxValue, "vertex id exceeds Int range")
-      edges(i) = (u.toInt, v.toInt)
-      if (v.toInt > maxId) maxId = v.toInt
-      if (u.toInt > maxId) maxId = u.toInt
-      i += 1
-    }
-    CSRGraph.fromEdges(edges, maxId + 1)
+    val src = col("src").cast("long")
+    val dst = col("dst").cast("long")
+    val keys = canonical
+      .select(when(src >= 0 && dst <= Int.MaxValue, shiftleft(src, 32).bitwiseOR(dst)).otherwise(-1L))
+      .as(Encoders.scalaLong)
+      .collect()
+    CSRGraph.fromKeys(keys)
   }
 
   /** One-call pipeline: generate/ingest → canonicalize → CSR. */
-  def csrOf(spark: SparkSession, rawEdges: DataFrame): CSRGraph = {
-    val _ = spark
-    toCSR(canonicalize(rawEdges))
-  }
+  def csrOf(rawEdges: DataFrame): CSRGraph = toCSR(canonicalize(rawEdges))
 }

@@ -95,13 +95,6 @@ class ArbNucleusSpec extends SparkSpec {
     assert(res.stats.contractions >= 1, "expected at least one contraction")
   }
 
-  test("degree ordering gives the same decomposition as degeneracy ordering") {
-    val g = TestGraphs.random(40, 0.25, 31)
-    val a = ArbNucleusDecomp.decompose(g, 2, 4, NucleusConfig(order = Orientation.Degree))
-    val b = ArbNucleusDecomp.decompose(g, 2, 4, NucleusConfig(order = Orientation.Degeneracy))
-    assert(a.coreMap === b.coreMap)
-  }
-
   test("(1,2) equals classic k-core coreness (Matula–Beck)") {
     for ((name, g) <- TestGraphs.suite) {
       val (core, _) = Orientation.coreness(g)

@@ -66,7 +66,7 @@ class CliqueTableSpec extends SparkSpec {
     val (flat, num) = sortedFlat(g, 2)
     val table = CliqueTable.build(flat, num, 2, g.n, TwoLevelArray, contiguous = true, StoredPointers)
     val slots = (0 until num).map(i => table.slotOf(flat.slice(2 * i, 2 * i + 2)))
-    repro.par.Par.forRange(0, 1000) { i => table.addCount(slots(i % num), 1L) }
+    repro.par.Par.forBlocked(0, 1000)((lo, hi) => (lo until hi).foreach(i => table.addCount(slots(i % num), 1L)))
     var total = 0L
     table.foreachOccupied { s => total += table.count(s) }
     assert(total === 1000L)

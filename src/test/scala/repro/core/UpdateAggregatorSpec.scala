@@ -25,7 +25,7 @@ class UpdateAggregatorSpec extends SparkSpec {
     test(s"${kind.label}: parallel offers collect each slot once") {
       val agg = UpdateAggregator(kind, 10000)
       agg.beginRound(10000)
-      Par.forRange(0, 100000)(i => agg.offer(i % 1000))
+      Par.forBlocked(0, 100000)((lo, hi) => (lo until hi).foreach(i => agg.offer(i % 1000)))
       val got = agg.drain()
       assert(got.length === 1000)
       assert(got.sorted.toSeq === (0 until 1000).toSeq)
@@ -47,7 +47,7 @@ class UpdateAggregatorSpec extends SparkSpec {
       val agg = UpdateAggregator(kind, 5000)
       for (round <- 0 until 50) {
         agg.beginRound(16)
-        Par.forRange(0, 64)(i => agg.offer((round * 64 + i) % 5000))
+        Par.forBlocked(0, 64)((lo, hi) => (lo until hi).foreach(i => agg.offer((round * 64 + i) % 5000)))
         val got = agg.drain()
         assert(got.length === 64)
         assert(got.toSet.size === 64)
@@ -58,14 +58,14 @@ class UpdateAggregatorSpec extends SparkSpec {
   test("hash-table: expectedUpdates bound is honored without overflow") {
     val agg = UpdateAggregator(UpdateAggregator.HashTableKind, 1 << 20)
     agg.beginRound(10) // small estimate, but offers stay within it
-    Par.forRange(0, 100)(i => agg.offer(i % 10))
+    Par.forBlocked(0, 100)((lo, hi) => (lo until hi).foreach(i => agg.offer(i % 10)))
     assert(agg.drain().length === 10)
   }
 
   test("list-buffer: more threads than blocks still collects all") {
     val agg = UpdateAggregator(UpdateAggregator.ListBufferKind, 50000)
     agg.beginRound(50000)
-    Par.forRange(0, 50000)(i => agg.offer(i))
+    Par.forBlocked(0, 50000)((lo, hi) => (lo until hi).foreach(i => agg.offer(i)))
     assert(agg.drain().length === 50000)
   }
 }

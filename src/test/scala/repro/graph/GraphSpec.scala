@@ -1,10 +1,15 @@
 package repro.graph
 
+import org.scalacheck.Gen
 import repro.SparkSpec
-import repro.testutil.TestGraphs
+import repro.testutil.{Check, TestGraphs}
 
-/** CSRGraph, orientations, relabeling, and the contractible graph. */
+/** CSRGraph, its builder, orientations, relabeling, and graph contraction. */
 class GraphSpec extends SparkSpec {
+
+  /** A seeded random vertex order of `g`, as ranks. */
+  private def randomRank(g: CSRGraph, seed: Long): Array[Int] =
+    new scala.util.Random(seed).shuffle((0 until g.n).toVector).toArray
 
   test("fromEdges dedupes, drops self loops, and sorts adjacency") {
     val g = CSRGraph.fromEdges(Seq((1, 0), (0, 1), (2, 2), (0, 2), (2, 0)), 3)
@@ -12,6 +17,30 @@ class GraphSpec extends SparkSpec {
     assert(g.m === 2L)
     assert(g.neighbors(0).toSeq === Seq(1, 2))
     assert(g.neighbors(2).toSeq === Seq(0))
+  }
+
+  test("fromEdges equals a Set-based reference on random edge lists") {
+    val gen = for {
+      n <- Gen.choose(1, 40)
+      edges <- Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    } yield (n, edges)
+    Check.forAll(gen, trials = 100) { case (n, edges) =>
+      // duplicates, reversed pairs and self loops by construction
+      val input = edges ++ edges.take(5) ++ edges.take(5).map(_.swap) ++ edges.take(3).map(e => (e._1, e._1))
+      val g = CSRGraph.fromEdges(input, n)
+      val ref = input.filter(e => e._1 != e._2).flatMap(e => Seq(e, e.swap)).toSet
+      assert(g.n === n)
+      assert(g.m === ref.size / 2)
+      for (v <- 0 until n)
+        assert(g.neighbors(v).toSeq === ref.collect { case (`v`, u) => u }.toSeq.sorted, s"row $v")
+    }
+  }
+
+  test("fromKeys rejects a negative key") {
+    val err = intercept[IllegalArgumentException](
+      CSRGraph.fromKeys(Array(CSRGraph.edgeKey(0, 1), -1L))
+    )
+    assert(err.getMessage.contains("exceeds Int range"))
   }
 
   test("degree and hasEdge agree with adjacency") {
@@ -63,14 +92,14 @@ class GraphSpec extends SparkSpec {
   test("degeneracy ordering bounds out-degree by degeneracy") {
     for ((name, g) <- TestGraphs.suite if g.n > 0) {
       val d = Orientation.degeneracy(g)
-      val dg = Orientation.orient(g, Orientation.Degeneracy)
+      val dg = Orientation.orient(g)
       assert(dg.maxOutDegree <= math.max(1, d), s"$name: outdeg=${dg.maxOutDegree} degeneracy=$d")
     }
   }
 
   test("orientation is acyclic and covers every edge once") {
     val g = TestGraphs.random(30, 0.3, 3)
-    val dg = Orientation.orient(g, Orientation.Degree)
+    val dg = Orientation.orient(g, randomRank(g, 3))
     var count = 0L
     for (v <- 0 until g.n) {
       var i = dg.offsets(v)
@@ -87,8 +116,7 @@ class GraphSpec extends SparkSpec {
 
   test("out-adjacency is sorted by id (intersection precondition)") {
     val g = TestGraphs.random(40, 0.25, 13)
-    for (order <- Seq(Orientation.Degeneracy, Orientation.Degree)) {
-      val dg = Orientation.orient(g, order)
+    for (dg <- Seq(Orientation.orient(g), Orientation.orient(g, randomRank(g, 13)))) {
       for (v <- 0 until g.n) {
         val out = dg.adj.slice(dg.offsets(v), dg.offsets(v + 1))
         assert(out.toSeq === out.sorted.toSeq)
@@ -122,32 +150,37 @@ class GraphSpec extends SparkSpec {
     assert(out.take(len).toSeq === expected.toSeq)
   }
 
-  test("PeelableGraph mirrors the base graph until contraction") {
-    val g = TestGraphs.paperFigure1
-    val pg = new PeelableGraph(g)
-    for (v <- 0 until g.n) {
-      assert(pg.degree(v) === g.degree(v))
-      for (u <- 0 until g.n) assert(pg.hasEdge(v, u) === g.hasEdge(v, u))
-    }
+  test("GraphContraction mirrors the base graph until contraction") {
+    val g = TestGraphs.paperFigure1 // n=7: threshold = 14 peeled edges
+    val gc = new GraphContraction(g)
+    assert(!gc.notePeeled(Array(0, 1, 0, 2, 1, 2), 3)((_, _) => true))
+    assert(gc.contractions === 0)
+    assert(gc.graph eq g)
   }
 
+  // the peelable graph is the CSRGraph that GraphContraction serves to the peel
   test("PeelableGraph contracts only after the 2n threshold and filters peeled edges") {
     val g = CSRGraph.complete(10) // n=10, m=45; threshold = 20 peeled edges
-    val pg = new PeelableGraph(g)
-    val peeled = scala.collection.mutable.Set[(Int, Int)]()
-    def peelBatch(pairs: Seq[(Int, Int)]): Boolean = {
-      pairs.foreach { case (u, v) => peeled += ((math.min(u, v), math.max(u, v))) }
-      val flat = pairs.flatMap { case (u, v) => Seq(u, v) }.toArray
-      pg.notePeeled(flat, pairs.length) { (a, b) =>
-        peeled.contains((math.min(a, b), math.max(a, b)))
+    val gc = new GraphContraction(g)
+    // the 21 edges among vertices 0..6: their rows lose 6 of 9 neighbours,
+    // the rows of 7..9 lose none
+    val batch = for (u <- 0 until 7; v <- u + 1 until 7) yield (u, v)
+    val peeled = batch.toSet
+    def peel(edges: Seq[(Int, Int)]): Boolean =
+      gc.notePeeled(edges.flatMap { case (u, v) => Seq(u, v) }.toArray, edges.length) { (a, b) =>
+        peeled((math.min(a, b), math.max(a, b)))
       }
+    assert(!peel(batch.take(10))) // 10 < 20: no contraction
+    assert(gc.contractions === 0)
+    assert(peel(batch.drop(10))) // 21 >= 20: contraction fires
+    assert(gc.contractions === 1)
+    val h = gc.graph
+    for (v <- 0 until 10) {
+      val row = h.neighbors(v)
+      assert(row.toSeq === row.sorted.toSeq, s"row $v sorted")
+      if (v < 7) assert(row.toSeq === (7 until 10), s"row $v keeps only live neighbours")
+      else assert(row.toSeq === g.neighbors(v).toSeq, s"unfiltered row $v unchanged")
     }
-    val all = (for (u <- 0 until 10; v <- u + 1 until 10) yield (u, v)).toSeq
-    assert(!peelBatch(all.take(10)))  // 10 < 20: no contraction
-    assert(pg.contractions === 0)
-    assert(peelBatch(all.slice(10, 35))) // 35 >= 20: contraction fires
-    assert(pg.contractions === 1)
-    // vertices that lost >= 1/4 of neighbors now exclude peeled edges
-    for ((u, v) <- all.take(10)) assert(!pg.hasEdge(u, v) || pg.degree(u) > 0)
+    assert(h.m < g.m)
   }
 }

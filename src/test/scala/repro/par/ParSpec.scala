@@ -5,17 +5,17 @@ import repro.SparkSpec
 
 class ParSpec extends SparkSpec {
 
-  test("forRange visits every index exactly once") {
+  test("forBlocked visits every index exactly once") {
     val hits = new java.util.concurrent.atomic.AtomicIntegerArray(10000)
-    Par.forRange(0, 10000)(i => hits.incrementAndGet(i))
+    Par.forBlocked(0, 10000)((lo, hi) => (lo until hi).foreach(i => hits.incrementAndGet(i)))
     for (i <- 0 until 10000) assert(hits.get(i) === 1)
   }
 
-  test("forRange handles empty and tiny ranges") {
+  test("forBlocked handles empty and tiny ranges") {
     var c = 0
-    Par.forRange(5, 5)(_ => c += 1)
+    Par.forBlocked(5, 5)((lo, hi) => (lo until hi).foreach(_ => c += 1))
     assert(c === 0)
-    Par.forRange(0, 1)(_ => c += 1)
+    Par.forBlocked(0, 1)((lo, hi) => (lo until hi).foreach(_ => c += 1))
     assert(c === 1)
   }
 
@@ -32,7 +32,7 @@ class ParSpec extends SparkSpec {
     val acc = new AtomicLong(0)
     Par.withThreads(1) {
       assert(Par.parallelism === 1)
-      Par.forRange(0, 1000)(i => acc.addAndGet(i.toLong))
+      Par.forBlocked(0, 1000)((lo, hi) => (lo until hi).foreach(i => acc.addAndGet(i.toLong)))
     }
     assert(acc.get() === 499500L)
   }
@@ -49,8 +49,8 @@ class ParSpec extends SparkSpec {
 
   test("nested parallel loops complete") {
     val acc = new AtomicLong(0)
-    Par.forRange(0, 64, grain = 1) { _ =>
-      Par.forRange(0, 64, grain = 1)(_ => acc.incrementAndGet())
+    Par.forBlocked(0, 64, grain = 1) { (lo, hi) =>
+      (lo until hi).foreach(_ => Par.forBlocked(0, 64, grain = 1)((l, h) => (l until h).foreach(_ => acc.incrementAndGet())))
     }
     assert(acc.get() === 64L * 64L)
   }

@@ -34,7 +34,7 @@ class SparkIntegrationSpec extends SparkSpec {
   }
 
   test("rmat skew: quadrant probabilities produce a heavy-tailed degree distribution") {
-    val g = EdgeOps.csrOf(spark, GraphGen.rmatEdges(spark, 12, 8, seed = 3))
+    val g = EdgeOps.csrOf(GraphGen.rmatEdges(spark, 12, 8, seed = 3))
     val degs = (0 until g.n).map(g.degree).filter(_ > 0).sorted
     // top vertex should see far more than the mean degree
     val mean = degs.sum.toDouble / degs.size
@@ -44,13 +44,13 @@ class SparkIntegrationSpec extends SparkSpec {
   test("plantedCliques yields complete communities") {
     val df = GraphGen.plantedCliques(spark, base = 100, communities = 3, size = 5)
     assert(df.count() === 3L * 10L)
-    val g = EdgeOps.csrOf(spark, df)
+    val g = EdgeOps.csrOf(df)
     for (c <- 0 until 3; i <- 0 until 5; j <- i + 1 until 5)
       assert(g.hasEdge(100 + c * 5 + i, 100 + c * 5 + j))
   }
 
   test("snapLite recipes build and contain their planted nuclei") {
-    val g = EdgeOps.csrOf(spark, GraphGen.snapLite(spark, "amazon-lite"))
+    val g = EdgeOps.csrOf(GraphGen.snapLite(spark, "amazon-lite"))
     assert(g.n > 1000 && g.m > 5000)
     // the planted K6s guarantee (3,4) cores of at least 3
     val res = ArbNucleusDecomp.decompose(g, 2, 3)
@@ -86,6 +86,13 @@ class SparkIntegrationSpec extends SparkSpec {
     val g2 = repro.graph.CSRGraph.fromEdges(pairs, 5)
     assert(g1.n === g2.n && g1.m === g2.m)
     for (v <- 0 until g1.n) assert(g1.neighbors(v).toSeq === g2.neighbors(v).toSeq)
+  }
+
+  test("toCSR fails fast on a vertex id beyond Int range") {
+    import spark.implicits._
+    val df = Seq((0L, 1L), (1L, Int.MaxValue.toLong + 1)).toDF("src", "dst")
+    val err = intercept[IllegalArgumentException](EdgeOps.toCSR(df))
+    assert(err.getMessage.contains("exceeds Int range"))
   }
 
   test("sizeStats reports n and m") {
