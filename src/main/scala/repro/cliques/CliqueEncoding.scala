@@ -35,6 +35,9 @@ final class CliqueEncoding(val numVertices: Int) extends Serializable {
     key
   }
 
+  /** [[pack]] of the pair `(a, b)`. */
+  def packPair(a: Int, b: Int): Long = ((a.toLong & mask) << bits) | (b.toLong & mask)
+
   /** Inverse of [[pack]]: writes `len` vertices into `out` starting at `at`. */
   def unpack(key: Long, len: Int, out: Array[Int], at: Int): Unit = {
     var i = len - 1

@@ -118,43 +118,98 @@ object RecListCliques {
   }
 }
 
-/** Sorted-adjacency set intersection helpers (paper §3 parallel hash-table
-  * intersections; the practical implementation intersects sorted arrays).
+/** Sorted-adjacency set intersection (paper §3 uses parallel hash-table
+  * intersections; the practical implementation, like Shi et al.'s k-clique
+  * listing and GBBS, intersects sorted arrays).
   */
 object Intersect {
 
+  /** Length ratio above which a pairwise intersection gallops through the
+    * longer row instead of merging the two.
+    */
+  private final val GallopRatio = 32
+
   /** Writes the common undirected neighbors of `vs(0 until len)` into `out`
-    * (sorted ascending) and returns the count. Starts from the
-    * minimum-degree member — the Lemma 4.1 accounting — and keeps each of
-    * its neighbors for which a binary-search `hasEdge` succeeds on every
-    * other member.
+    * (sorted ascending, without the members themselves) and returns the
+    * count. `out` needs room for the smallest member degree.
+    *
+    * Intersects the two shortest rows of `g.offsets`/`g.adj` into `out`,
+    * then shrinks `out` in place against each remaining row, stopping once
+    * it is empty, so the candidate set never exceeds the minimum member
+    * degree (the Lemma 4.1 accounting). Each pairwise step merges, or
+    * gallops (exponential then binary search) when the longer row is more
+    * than `GallopRatio` (32) times the shorter. Members drop out on their own:
+    * no row contains its own vertex.
     */
   def commonNeighbors(g: CSRGraph, vs: Array[Int], len: Int, out: Array[Int]): Int = {
     require(len >= 1, "need at least one vertex")
-    var minI = 0
-    var i = 1
-    while (i < len) { if (g.degree(vs(i)) < g.degree(vs(minI))) minI = i; i += 1 }
-    val pivot = vs(minI)
+    val off = g.offsets
+    val adj = g.adj
+    if (len == 1) {
+      val lo = off(vs(0))
+      val d = off(vs(0) + 1) - lo
+      System.arraycopy(adj, lo, out, 0, d)
+      return d
+    }
+    // a, b: indices of the shortest and second-shortest rows
+    var a = 0
+    var b = 1
+    if (g.degree(vs(b)) < g.degree(vs(a))) { a = 1; b = 0 }
+    var i = 2
+    while (i < len) {
+      val d = g.degree(vs(i))
+      if (d < g.degree(vs(a))) { b = a; a = i }
+      else if (d < g.degree(vs(b))) b = i
+      i += 1
+    }
+    var k = intersectInto(adj, off(vs(a)), off(vs(a) + 1), adj, off(vs(b)), off(vs(b) + 1), out)
+    i = 0
+    while (k > 0 && i < len) {
+      if (i != a && i != b) k = intersectInto(out, 0, k, adj, off(vs(i)), off(vs(i) + 1), out)
+      i += 1
+    }
+    k
+  }
+
+  /** Writes `s(sLo until sHi) ∩ l(lLo until lHi)` (both sorted ascending,
+    * the first no longer than the second) into `out` from index 0 and
+    * returns its size. `out` may be `s` with `sLo == 0`: every write lands
+    * at or before the element just read.
+    */
+  private def intersectInto(
+      s: Array[Int], sLo: Int, sHi: Int,
+      l: Array[Int], lLo: Int, lHi: Int,
+      out: Array[Int]
+  ): Int = {
     var k = 0
-    var p = g.offsets(pivot)
-    val pHi = g.offsets(pivot + 1)
-    while (p < pHi) {
-      val w = g.adj(p)
-      var ok = true
-      var j = 0
-      while (ok && j < len) {
-        if (j != minI && !(g.hasEdge(vs(j), w) || vs(j) == w)) ok = false
-        j += 1
+    var i = sLo
+    var j = lLo
+    if ((lHi - lLo).toLong > GallopRatio.toLong * (sHi - sLo)) {
+      while (i < sHi && j < lHi) {
+        val x = s(i)
+        if (l(j) < x) {
+          // gallop: l(lo) < x, and hi == lHi or l(hi) >= x
+          var lo = j
+          var step = 1
+          while (step < lHi - lo && l(lo + step) < x) { lo += step; step <<= 1 }
+          var hi = if (step < lHi - lo) lo + step else lHi
+          while (hi - lo > 1) {
+            val mid = (lo + hi) >>> 1
+            if (l(mid) < x) lo = mid else hi = mid
+          }
+          j = hi
+        }
+        if (j < lHi && l(j) == x) { out(k) = x; k += 1; j += 1 }
+        i += 1
       }
-      // w must be a neighbor of every vs(j); w == vs(j) is impossible since
-      // simple graphs have no self loops, so exclude it explicitly.
-      if (ok) {
-        var member = false
-        var t = 0
-        while (t < len) { if (vs(t) == w) member = true; t += 1 }
-        if (!member) { out(k) = w; k += 1 }
+    } else {
+      while (i < sHi && j < lHi) {
+        val x = s(i)
+        val y = l(j)
+        if (x < y) i += 1
+        else if (x > y) j += 1
+        else { out(k) = x; k += 1; i += 1; j += 1 }
       }
-      p += 1
     }
     k
   }

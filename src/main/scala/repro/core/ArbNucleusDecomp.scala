@@ -78,6 +78,11 @@ final class NucleusResult(
   * the peeled subsets anyway (the paper's line 7 computes a), end-of-round
   * counts are identical, and integer atomics avoid floating-point hazards.
   * See DESIGN.md "Fidelity substitutions".
+  *
+  * UPDATE does only work that can change a count: a peeled r-clique whose
+  * s-clique count is already 0 gets no neighbourhood intersection and no
+  * completion enumeration, since every s-clique through it was destroyed in
+  * an earlier round.
   */
 object ArbNucleusDecomp {
 
@@ -167,13 +172,25 @@ object ArbNucleusDecomp {
       }
       finished += ids.length
       if (finished < numR) {
+        // UPDATE visits only the live peeled slots. At the start of its round
+        // a slot's count is the number of its s-cliques that no earlier round
+        // destroyed, and nothing writes it during the round (decrements go
+        // only to slots peeled later). So at count 0 every completion would
+        // abort, while a live s-clique's min-slot representative has count
+        // >= 1.
+        val live = new Array[Int](ids.length)
+        var numLive = 0
         var expected = 0L
         i = 0
-        while (i < ids.length) { expected += table.count(ids(i)); i += 1 }
+        while (i < ids.length) {
+          val c = table.count(ids(i))
+          if (c > 0) { live(numLive) = ids(i); numLive += 1; expected += c }
+          i += 1
+        }
         agg.beginRound(expected * math.max(1, numSubsets - 1))
         val peelGraph = if (contraction != null) contraction.graph else workGraph
 
-        Par.forBlocked(0, ids.length, grain = 4) { (blo, bhi) =>
+        Par.forBlocked(0, numLive, grain = 4) { (blo, bhi) =>
           val vsR = new Array[Int](r)
           val iBuf = new Array[Int](maxDeg)
           val cliqueBuf = new Array[Int](s)
@@ -184,7 +201,7 @@ object ArbNucleusDecomp {
           var localDisc = 0L
           var idx = blo
           while (idx < bhi) {
-            val slot = ids(idx)
+            val slot = live(idx)
             table.cliqueOf(slot, vsR)
             val iLen = Intersect.commonNeighbors(peelGraph, vsR, r, iBuf)
             System.arraycopy(vsR, 0, cliqueBuf, 0, r)
@@ -245,10 +262,8 @@ object ArbNucleusDecomp {
             pairs(2 * i + 1) = vsPair(1)
             i += 1
           }
-          // isPeeled runs from parallel filter workers — per-call scratch only
           contraction.notePeeled(pairs, ids.length) { (a, b) =>
-            val probe = if (a < b) Array(a, b) else Array(b, a)
-            val sl = table.slotOf(probe)
+            val sl = table.edgeSlot(math.min(a, b), math.max(a, b))
             sl < 0 || peeledRound(sl) != Int.MaxValue
           }
         }

@@ -122,9 +122,24 @@ final class CliqueTable private (
         if (e < 0) return -1
         e
     }
+    probe(g, enc.pack(vs, from + prefixLen, keyArity))
+  }
+
+  /** [[slotOf]] of the edge `a < b` in a table of 2-cliques, without an
+    * array: graph contraction asks it once per neighbour of a filtered row.
+    */
+  def edgeSlot(a: Int, b: Int): Int = {
+    require(r == 2, s"edgeSlot needs a table of edges, not of $r-cliques")
+    if (numCliques == 0) return -1
+    if (prefixLen == 0) return probe(0, enc.packPair(a, b))
+    val g = if (scheme == TwoLevelArray) a else levelLookup(0).get(a.toLong)
+    if (g < 0) -1 else probe(g, b.toLong)
+  }
+
+  /** Linear probe for `key` in group `g`'s last-level table. */
+  private def probe(g: Int, key: Long): Int = {
     val cap = groupCaps(g)
     if (cap == 0) return -1
-    val key = enc.pack(vs, from + prefixLen, keyArity)
     val mask = cap - 1
     var i = (CliqueEncoding.hash(key) & mask).toInt
     val base = groupOffsets(g)

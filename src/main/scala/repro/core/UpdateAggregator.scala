@@ -77,11 +77,24 @@ final class SimpleArrayAggregator(capacity: Int) extends UpdateAggregator {
   * array with one fetch-and-add per block, then fills its block privately —
   * contention drops by the buffer size. Unused tail slots are filtered out
   * (and reset) at drain time, touching only the allocated region.
+  *
+  * The array holds every slot once plus one partly filled block for each of
+  * up to [[ListBufferAggregator.MaxThreads]] threads offering in a round.
+  * That is more than the pool's workers plus the caller, since a fork-join
+  * pool can run a loop's blocks on further threads (spare workers, or other
+  * threads helping the common pool). A round that needs a block past the end
+  * fails with an `IllegalStateException` naming the limit.
   */
 final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends UpdateAggregator {
+  import ListBufferAggregator.{MaxCells, MaxThreads}
+  private val cells = capacity.toLong + MaxThreads.toLong * blockSize
+  require(
+    cells <= MaxCells,
+    s"list-buffer aggregator needs $cells cells (capacity $capacity + $MaxThreads threads x block $blockSize), " +
+      s"above the array limit of $MaxCells"
+  )
   private val stamps = new RoundStamp(capacity)
-  // worst case: every slot updated once, each thread wasting < blockSize
-  private val u = new Array[Int](math.max(1, capacity + 256 * blockSize))
+  private val u = new Array[Int](math.max(1, cells.toInt))
   java.util.Arrays.fill(u, -1)
   private val nextBlock = new AtomicInteger(0)
   private val epoch = new AtomicInteger(0)
@@ -105,6 +118,8 @@ final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends Up
     if (st.pos == st.end) {
       st.pos = nextBlock.getAndAdd(blockSize)
       st.end = st.pos + blockSize
+      if (st.end > u.length)
+        throw new IllegalStateException(s"more than $MaxThreads threads offered to the list-buffer aggregator in one round")
     }
     u(st.pos) = slot
     st.pos += 1
@@ -121,6 +136,13 @@ final class ListBufferAggregator(capacity: Int, blockSize: Int = 512) extends Up
     }
     out.toArray
   }
+}
+
+object ListBufferAggregator {
+  /** Threads that may offer in one round. */
+  val MaxThreads = 256
+  /** Largest array the JVM allocates reliably. */
+  val MaxCells: Long = Int.MaxValue - 8L
 }
 
 /** §5.5 "Hash Table": a parallel open-addressing set whose probe region is

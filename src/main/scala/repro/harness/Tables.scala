@@ -282,7 +282,7 @@ object Tables {
       spark: SparkSession,
       names: Seq[String],
       rs: Seq[(Int, Int)] = Seq((2, 3), (2, 4), (3, 4)),
-      threads: Seq[Int] = Seq(1, 2, 4, 8, 16)
+      threads: Seq[Int] = threadSweep(Runtime.getRuntime.availableProcessors)
   ): String = {
     val out = new StringBuilder
     for ((r, s) <- rs) {
@@ -298,6 +298,11 @@ object Tables {
     }
     emit("table7_scaling.md", out.toString)
   }
+
+  /** The paper's 1, 2, 4, 8, 16 thread sweep clamped to `cores`: the powers
+    * of two below it, then `cores` itself.
+    */
+  def threadSweep(cores: Int): Seq[Int] = Seq(1, 2, 4, 8, 16).filter(_ < cores) :+ cores
 
   // ---------------------------------------------------------------------------
   // T8 — Fig. 15: rMAT density sweep

@@ -95,6 +95,24 @@ class ArbNucleusSpec extends SparkSpec {
     assert(res.stats.contractions >= 1, "expected at least one contraction")
   }
 
+  test("UPDATE skips r-cliques peeled with no s-clique left") {
+    // diamond 0-1-2, 0-1-3 plus a disjoint K4 on 4..7: round 1 peels the four
+    // outer diamond edges (one triangle each) and destroys both triangles;
+    // round 2 peels edge 01 with count 0 while the K4 is still alive
+    val diamond = Seq((0, 1), (0, 2), (1, 2), (0, 3), (1, 3))
+    val k4 = for (u <- 4 to 7; v <- u + 1 to 7) yield (u, v)
+    val g = repro.graph.CSRGraph.fromEdges(diamond ++ k4, 8)
+    val ref = RefNucleus.decompose(g, 2, 3)
+    assert(ref.coreMap === (diamond.map { case (u, v) => Seq(u, v) -> 1L } ++
+      k4.map { case (u, v) => Seq(u, v) -> 2L }).toMap)
+    for (cfg <- Seq(NucleusConfig.optimal(2, 3, g.n), NucleusConfig.unoptimized)) {
+      val res = ArbNucleusDecomp.decompose(g, 2, 3, cfg)
+      assert(res.coreMap === ref.coreMap, cfg.label)
+      // round 1's four triangle discoveries only; edge 01 finds none
+      assert(res.stats.updateScliqueDiscoveries === 4L, cfg.label)
+    }
+  }
+
   test("(1,2) equals classic k-core coreness (Matula–Beck)") {
     for ((name, g) <- TestGraphs.suite) {
       val (core, _) = Orientation.coreness(g)

@@ -61,6 +61,27 @@ class CliqueTableSpec extends SparkSpec {
     }
   }
 
+  test("edgeSlot equals slotOf on every vertex pair, in every edge-table layout") {
+    val g = TestGraphs.random(40, 0.25, 7)
+    val (flat, num) = sortedFlat(g, 2)
+    for {
+      scheme <- schemes
+      if CliqueTable.feasible(scheme, 2, g.n)
+      (contig, inv) <- layouts
+    } {
+      val table = CliqueTable.build(flat, num, 2, g.n, scheme, contig, inv)
+      var found = 0
+      for (a <- 0 until g.n; b <- a + 1 until g.n) {
+        val sl = table.edgeSlot(a, b)
+        assert(sl === table.slotOf(Array(a, b)), s"${scheme.label} contig=$contig ${inv.label} edge ($a, $b)")
+        if (sl >= 0) found += 1
+      }
+      assert(found === num)
+    }
+    val triangles = CliqueTable.build(Array(0, 1, 2), 1, 3, 3)
+    intercept[IllegalArgumentException](triangles.edgeSlot(0, 1))
+  }
+
   test("counts are atomic and slot-addressed") {
     val g = TestGraphs.complete(8)
     val (flat, num) = sortedFlat(g, 2)

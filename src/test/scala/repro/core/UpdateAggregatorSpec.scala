@@ -62,6 +62,11 @@ class UpdateAggregatorSpec extends SparkSpec {
     assert(agg.drain().length === 10)
   }
 
+  test("list-buffer: a capacity beyond the array limit fails fast, naming it") {
+    val e = intercept[IllegalArgumentException](new ListBufferAggregator(Int.MaxValue - 1024))
+    assert(e.getMessage.contains(s"array limit of ${ListBufferAggregator.MaxCells}"))
+  }
+
   test("list-buffer: more threads than blocks still collects all") {
     val agg = UpdateAggregator(UpdateAggregator.ListBufferKind, 50000)
     agg.beginRound(50000)

@@ -45,6 +45,13 @@ class HarnessSpec extends SparkSpec {
     assert(Harness.rsCombos(4, minR = 2) === Seq((2, 3), (2, 4), (3, 4)))
   }
 
+  test("T7's default thread sweep stops at the core count") {
+    assert(Tables.threadSweep(1) === Seq(1))
+    assert(Tables.threadSweep(4) === Seq(1, 2, 4))
+    assert(Tables.threadSweep(6) === Seq(1, 2, 4, 6))
+    assert(Tables.threadSweep(32) === Seq(1, 2, 4, 8, 16, 32))
+  }
+
   test("timeMs returns the body's value and a positive time") {
     val (v, ms) = Harness.timeMs(2)(21 * 2)
     assert(v === 42)
